@@ -15,34 +15,26 @@
 //!
 //! The `read-write` group is the mixed serving workload: every iteration
 //! performs one write (a label-only fact insert or an acyclic cross-chain
-//! order edge) followed by one prepared disjunctive evaluation. The
-//! `incremental` leg runs the default session (the scaffold survives the
-//! write via incremental closure/topo/pair-table maintenance); the
-//! `rebuild` leg pins the pre-incremental behavior
-//! (`Session::with_scaffold_rebuild_on_write`) where every write drops
-//! the scaffold and the next read pays a full rebuild. The group's
-//! recorded figures are *steady state* — criterion's long loop keeps
-//! inserting genuinely new edges, so the graph densifies far beyond any
-//! single serving window; the `rw-speedup-summary` report line measures
-//! the same op stream over a warm serving window instead (that is the
-//! ≥ 20x acceptance number). The `eviction` group measures the
+//! order edge) followed by one prepared disjunctive evaluation, with the
+//! scaffold surviving each write via incremental closure/topo/pair-table
+//! maintenance. The group's recorded figures are *steady state* —
+//! criterion's long loop keeps inserting genuinely new edges, so the
+//! graph densifies far beyond any single serving window; the
+//! `rw-maintenance` report line measures the same op stream over a warm
+//! serving window instead. The `eviction` group measures the
 //! `Session::with_max_pairs` bound (LRU eviction + transparent
 //! recompute) against an unbounded table.
 //!
-//! The `serving-mvcc` group compares the two server concurrency modes
-//! (`ConcurrencyMode::Mvcc` vs the PR 5 `RwLock` ablation) through the
-//! wire `Conn`: write latency while a slow reader holds a 25ms view
-//! (the countermodel-enumeration stand-in), client read p50/p99 under a
-//! sustained write storm, and a multi-writer burst whose STATS delta
-//! shows group-commit coalescing.
+//! The `serving-mvcc` group drives the snapshot-isolated server through
+//! the wire `Conn`: write latency while a slow reader pins a snapshot
+//! for 25ms (the countermodel-enumeration stand-in), client read
+//! p50/p99 under a sustained write storm, and a multi-writer burst whose
+//! STATS delta shows group-commit coalescing.
 //!
 //! The final groups print the measured speedups explicitly — the
-//! acceptance targets are ≥ 2× for the `[<,<=]` serving mix, ≥ 10× for
-//! the `!=`-heavy workloads, ≥ 20× for incremental scaffold
-//! maintenance vs drop-and-rebuild on the read/write mix, all at
-//! |D| ≈ 1k, and for the MVCC group: write latency ≥ 10× better than
-//! the lock under a long read, no read-p99 regression under the storm,
-//! and ≥ 2 fragments per group commit on the burst.
+//! acceptance targets are ≥ 2× for the `[<,<=]` serving mix and ≥ 10×
+//! for the `!=`-heavy workloads, both at |D| ≈ 1k, and ≥ 2 fragments per
+//! group commit on the MVCC burst.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use indord_bench::workloads;
@@ -214,8 +206,8 @@ fn apply_write(session: &mut Session, voc: &Vocabulary, len: usize, step: usize)
 }
 
 /// Interleaved write/read serving: one mutation + one prepared
-/// disjunctive evaluation per iteration, incremental scaffold
-/// maintenance vs the historical drop-and-rebuild baseline.
+/// disjunctive evaluation per iteration on an incrementally maintained
+/// scaffold.
 fn bench_read_write(c: &mut Criterion) {
     let mut g = c.benchmark_group("prepared/read-write");
     for len in [256usize, 1024] {
@@ -223,19 +215,17 @@ fn bench_read_write(c: &mut Criterion) {
         let eng = Engine::new(&voc);
         let q = &queries[2]; // the disjunctive shape — it drives the scaffold
         let pq = eng.prepare(q).unwrap();
-        for (leg, rebuild) in [("incremental", false), ("rebuild", true)] {
-            let mut session = Session::new(db.clone()).with_scaffold_rebuild_on_write(rebuild);
-            let _ = eng.entails_prepared(&session, &pq).unwrap(); // warm
-            let mut step = 0usize;
-            g.throughput(Throughput::Elements(db.len() as u64));
-            g.bench_with_input(BenchmarkId::new(leg, len), &(), |b, _unit| {
-                b.iter(|| {
-                    apply_write(&mut session, &voc, len, step);
-                    step += 1;
-                    eng.entails_prepared(&session, &pq).unwrap()
-                })
-            });
-        }
+        let mut session = Session::new(db.clone());
+        let _ = eng.entails_prepared(&session, &pq).unwrap(); // warm
+        let mut step = 0usize;
+        g.throughput(Throughput::Elements(db.len() as u64));
+        g.bench_with_input(BenchmarkId::new("incremental", len), &(), |b, _unit| {
+            b.iter(|| {
+                apply_write(&mut session, &voc, len, step);
+                step += 1;
+                eng.entails_prepared(&session, &pq).unwrap()
+            })
+        });
     }
     g.finish();
 }
@@ -268,19 +258,26 @@ fn bench_eviction(c: &mut Criterion) {
     g.finish();
 }
 
-/// A warm in-process protocol connection serving `db` with
-/// [`DISJUNCTIVE_QUERY`] prepared as `disj` — the shared setup of the
-/// `prepared/serving` group and the `serving-summary` report.
-fn serving_conn(voc: &Vocabulary, db: &Database) -> indord_server::runtime::Conn {
+/// A warm in-process protocol connection serving `db` as `bench` with
+/// [`DISJUNCTIVE_QUERY`] prepared as `disj`, plus its registry (for
+/// extra connections and snapshot pins) — the shared setup of every
+/// wire-level leg.
+fn serving_conn(
+    voc: &Vocabulary,
+    db: &Database,
+) -> (
+    std::sync::Arc<indord_server::runtime::Registry>,
+    indord_server::runtime::Conn,
+) {
     use indord_server::runtime::{Conn, Registry};
     use std::sync::Arc;
     let registry = Arc::new(Registry::new());
     registry.install("bench", voc.clone(), db.clone());
-    let mut conn = Conn::new(registry);
+    let mut conn = Conn::new(Arc::clone(&registry));
     conn.handle_line("USE bench");
     conn.handle_line(&format!("PREPARE disj: {DISJUNCTIVE_QUERY}"));
     conn.handle_line("ENTAIL disj"); // warm
-    conn
+    (registry, conn)
 }
 
 /// The serving-path overhead: the same prepared disjunctive evaluation
@@ -299,34 +296,12 @@ fn bench_serving(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("direct", len), &(), |b, _| {
             b.iter(|| eng.entails_prepared(&session, &pq).unwrap())
         });
-        let mut conn = serving_conn(&voc, &db);
+        let (_registry, mut conn) = serving_conn(&voc, &db);
         g.bench_with_input(BenchmarkId::new("protocol", len), &(), |b, _| {
             b.iter(|| conn.handle_line("ENTAIL disj"))
         });
     }
     g.finish();
-}
-
-/// A warm protocol connection over a registry pinned to the given
-/// concurrency mode (epoch-MVCC default vs the `RwLock` ablation
-/// baseline kept for exactly these measurements).
-fn serving_conn_mode(
-    mode: indord_server::runtime::ConcurrencyMode,
-    voc: &Vocabulary,
-    db: &Database,
-) -> (
-    std::sync::Arc<indord_server::runtime::Registry>,
-    indord_server::runtime::Conn,
-) {
-    use indord_server::runtime::{Conn, Registry};
-    use std::sync::Arc;
-    let registry = Arc::new(Registry::with_mode(mode));
-    registry.install("bench", voc.clone(), db.clone());
-    let mut conn = Conn::new(Arc::clone(&registry));
-    conn.handle_line("USE bench");
-    conn.handle_line(&format!("PREPARE disj: {DISJUNCTIVE_QUERY}"));
-    conn.handle_line("ENTAIL disj"); // warm
-    (registry, conn)
 }
 
 fn bench_query_mix_batch(c: &mut Criterion) {
@@ -451,56 +426,33 @@ fn report_speedup(_c: &mut Criterion) {
     );
 
     // Warm-across-writes: the read/write serving mix (one write + one
-    // prepared disjunctive evaluation per iteration) at |D| = 1024,
-    // incremental scaffold maintenance vs drop-and-rebuild. Acceptance
-    // target: ≥ 20x.
+    // prepared disjunctive evaluation per iteration) at |D| = 1024.
     let (voc, db, queries) = setup(1024);
     let eng = Engine::new(&voc);
     let pq = eng.prepare(&queries[2]).unwrap();
     let rw_iters = if criterion::is_smoke() { 5 } else { 40 };
-    let mut leg_times = Vec::new();
-    for rebuild in [false, true] {
-        let mut session = Session::new(db.clone()).with_scaffold_rebuild_on_write(rebuild);
-        let _ = eng.entails_prepared(&session, &pq).unwrap(); // warm
-        let mut step = 0usize;
-        let t = workloads::time_median(rw_iters, || {
-            apply_write(&mut session, &voc, 1024, step);
-            step += 1;
-            let _ = eng.entails_prepared(&session, &pq).unwrap();
-        });
-        leg_times.push(t);
-        // The session's maintenance counters must tell the story the
-        // legs are named after: the incremental leg absorbs (in-place
-        // patchable) writes without a single scaffold rebuild, the
-        // drop-and-rebuild baseline pays one rebuild per write it
-        // patches nothing for.
-        let stats = session.stats();
-        if rebuild {
-            assert!(
-                stats.scaffold_rebuilds() > 0,
-                "baseline leg must rebuild: {stats:?}"
-            );
-        } else {
-            assert!(
-                stats.in_place_patches > 0,
-                "incremental leg must patch in place: {stats:?}"
-            );
-        }
-        println!(
-            "prepared/rw-maintenance      {} leg: {} in-place patches, {} scaffold rebuilds, {} cache drops, {} pair evictions",
-            if rebuild { "rebuild    " } else { "incremental" },
-            stats.in_place_patches,
-            stats.scaffold_rebuilds(),
-            stats.cache_drops,
-            stats.pair_evictions,
-        );
-    }
-    let rw_speedup = leg_times[1].as_secs_f64() / leg_times[0].as_secs_f64().max(1e-12);
+    let mut session = Session::new(db.clone());
+    let _ = eng.entails_prepared(&session, &pq).unwrap(); // warm
+    let mut step = 0usize;
+    let rw_time = workloads::time_median(rw_iters, || {
+        apply_write(&mut session, &voc, 1024, step);
+        step += 1;
+        let _ = eng.entails_prepared(&session, &pq).unwrap();
+    });
+    // Every write in the stream is patchable (label inserts and acyclic
+    // edges over known constants), so the session must absorb them all
+    // in place without a single scaffold rebuild.
+    let stats = session.stats();
+    assert!(
+        stats.in_place_patches > 0 && stats.scaffold_rebuilds() == 0,
+        "writes must patch the scaffold in place, never rebuild it: {stats:?}"
+    );
     println!(
-        "prepared/rw-speedup-summary   warm-across-writes: incremental {:>10?}  drop-and-rebuild {:>10?}  speedup: {rw_speedup:.1}x — target >= 20x: {}",
-        leg_times[0],
-        leg_times[1],
-        if rw_speedup >= 20.0 { "MET" } else { "NOT MET" }
+        "prepared/rw-maintenance      write+read {rw_time:>10?}: {} in-place patches, {} scaffold rebuilds, {} cache drops, {} pair evictions",
+        stats.in_place_patches,
+        stats.scaffold_rebuilds(),
+        stats.cache_drops,
+        stats.pair_evictions,
     );
 
     // Serving-path overhead: the prepared disjunctive evaluation through
@@ -512,7 +464,7 @@ fn report_speedup(_c: &mut Criterion) {
         let session = Session::new(db.clone());
         let pq = eng.prepare(&queries[2]).unwrap();
         let _ = eng.entails_prepared(&session, &pq).unwrap(); // warm
-        let mut conn = serving_conn(&voc, &db);
+        let (_registry, mut conn) = serving_conn(&voc, &db);
         let direct = workloads::time_median(iters, || {
             let _ = eng.entails_prepared(&session, &pq).unwrap();
         });
@@ -550,40 +502,28 @@ fn report_speedup(_c: &mut Criterion) {
     );
 }
 
-/// Prints and records the MVCC-vs-RwLock serving evidence (the ISSUE 6
-/// acceptance numbers): write latency with a long read in flight
-/// (≥ 10x), client-side read p50/p99 under a write storm (no
-/// regression vs the PR 5 lock), burst write throughput per mode, and
-/// group-commit coalescing (≥ 2 fragments/commit on the burst).
+/// Prints and records the MVCC serving evidence: write latency with a
+/// long read in flight, client-side read p50/p99 under a write storm,
+/// burst write throughput, and group-commit coalescing (≥ 2
+/// fragments/commit on the burst).
 fn report_mvcc(_c: &mut Criterion) {
     use indord_server::protocol::Response;
-    use indord_server::runtime::{ConcurrencyMode, Conn};
+    use indord_server::runtime::Conn;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Instant;
-    const MODES: [(&str, ConcurrencyMode); 2] = [
-        ("mvcc", ConcurrencyMode::Mvcc),
-        ("rwlock", ConcurrencyMode::RwLock),
-    ];
     let stats_of = |conn: &mut Conn| match conn.handle_line("STATS") {
         Response::Stats(s) => *s,
         other => panic!("STATS: unexpected {other:?}"),
     };
     let (voc, db, _queries) = setup(1024);
 
-    // 1. Write latency with a 25ms-held read view in flight (the slow
-    //    Thm 5.3 countermodel-enumeration stand-in). Writes arrive 5ms
-    //    apart like a real client, so each lands mid-hold instead of a
-    //    serial burst squeezing through the holder's re-acquire gap —
-    //    without the spacing the lock leg measures the gap, not the
-    //    hold. The mean is the honest statistic: under the lock a write
-    //    either waits out the hold or slips through, so the median flips
-    //    between regimes while the mean is dominated by the blocking
-    //    under test.
+    // 1. Write latency with a snapshot pinned for 25ms at a time (the
+    //    slow Thm 5.3 countermodel-enumeration stand-in). Writes arrive
+    //    5ms apart like a real client, so each lands mid-hold.
     let writes = if criterion::is_smoke() { 8 } else { 40 };
-    let mut write_means = Vec::new();
-    for (leg, mode) in MODES {
-        let (registry, mut conn) = serving_conn_mode(mode, &voc, &db);
+    {
+        let (registry, mut conn) = serving_conn(&voc, &db);
         let stop = Arc::new(AtomicBool::new(false));
         let holder = {
             let registry = Arc::clone(&registry);
@@ -591,9 +531,9 @@ fn report_mvcc(_c: &mut Criterion) {
             std::thread::spawn(move || {
                 let db = registry.get("bench").expect("installed");
                 while !stop.load(Ordering::Relaxed) {
-                    let view = db.view();
+                    let snap = db.snapshot();
                     std::thread::sleep(Duration::from_millis(25));
-                    drop(view);
+                    drop(snap);
                     std::thread::yield_now();
                 }
             })
@@ -612,30 +552,22 @@ fn report_mvcc(_c: &mut Criterion) {
         holder.join().expect("holder thread");
         let mean = samples.iter().sum::<Duration>() / samples.len() as u32;
         criterion::record(
-            &format!("prepared/serving-mvcc/write-mean-under-long-read/{leg}"),
+            "prepared/serving-mvcc/write-mean-under-long-read/mvcc",
             mean.as_nanos() as f64,
         );
-        write_means.push(mean);
+        println!(
+            "prepared/mvcc-write-under-read write mean under a 25ms-held snapshot: {mean:>10?}"
+        );
     }
-    let write_speedup = write_means[1].as_secs_f64() / write_means[0].as_secs_f64().max(1e-12);
-    println!(
-        "prepared/mvcc-write-summary   write mean under 25ms-held read: mvcc {:>10?}  rwlock {:>10?}  speedup: {write_speedup:.1}x — target >= 10x: {}",
-        write_means[0],
-        write_means[1],
-        if write_speedup >= 10.0 { "MET" } else { "NOT MET" }
-    );
 
     // 2. Client-side read p50/p99 under a steady background write load
     //    (one writer, a label fact on known constants every 5ms). The
-    //    claim under test is that writes never *block* reads — the lock
-    //    pathology. The pacing keeps commits below the p99 sample tail
-    //    on a single-core box, where a saturating writer would measure
-    //    the scheduler's timeslicing (every thread starves every other
-    //    thread at 100% CPU) rather than the locking discipline.
+    //    pacing keeps commits below the p99 sample tail on a single-core
+    //    box, where a saturating writer would measure the scheduler's
+    //    timeslicing rather than the commit path.
     let window = Duration::from_millis(if criterion::is_smoke() { 50 } else { 250 });
-    let mut p99s = Vec::new();
-    for (leg, mode) in MODES {
-        let (registry, mut conn) = serving_conn_mode(mode, &voc, &db);
+    {
+        let (registry, mut conn) = serving_conn(&voc, &db);
         let stop = Arc::new(AtomicBool::new(false));
         let storm = {
             let registry = Arc::clone(&registry);
@@ -663,86 +595,66 @@ fn report_mvcc(_c: &mut Criterion) {
         reads.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let p50 = reads[reads.len() / 2];
         let p99 = reads[(reads.len() * 99 / 100).min(reads.len() - 1)];
-        criterion::record(
-            &format!("prepared/serving-mvcc/read-p50-under-storm/{leg}"),
-            p50,
-        );
-        criterion::record(
-            &format!("prepared/serving-mvcc/read-p99-under-storm/{leg}"),
-            p99,
-        );
+        criterion::record("prepared/serving-mvcc/read-p50-under-storm/mvcc", p50);
+        criterion::record("prepared/serving-mvcc/read-p99-under-storm/mvcc", p99);
         println!(
-            "prepared/mvcc-read-storm      {leg:<6} read p50: {:>9.0} ns  p99: {:>9.0} ns  ({} reads under storm)",
+            "prepared/mvcc-read-storm      read p50: {:>9.0} ns  p99: {:>9.0} ns  ({} reads under storm)",
             p50,
             p99,
             reads.len()
         );
-        p99s.push(p99);
     }
-    println!(
-        "prepared/mvcc-read-summary    read p99 under write storm: mvcc {:.0} ns vs rwlock (PR 5 baseline) {:.0} ns — no regression (<= 1.5x): {}",
-        p99s[0],
-        p99s[1],
-        if p99s[0] <= p99s[1] * 1.5 { "MET" } else { "NOT MET" }
-    );
 
-    // 3. Burst throughput per mode + group-commit coalescing. Six
-    //    concurrent connections each push a run of label facts; the
-    //    mutator drains whatever queued, so fragments/commit > 1 is the
-    //    group-commit claim (exact sizes are scheduling-dependent).
+    // 3. Burst throughput + group-commit coalescing. Six concurrent
+    //    connections each push a run of label facts; the mutator drains
+    //    whatever queued, so fragments/commit > 1 is the group-commit
+    //    claim (exact sizes are scheduling-dependent).
     const BURST_WRITERS: usize = 6;
     let per_writer = if criterion::is_smoke() { 10 } else { 40 };
-    for (leg, mode) in MODES {
-        let (registry, mut conn) = serving_conn_mode(mode, &voc, &db);
-        let before = stats_of(&mut conn);
-        let landed = Arc::new(AtomicU64::new(0));
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            for w in 0..BURST_WRITERS {
-                let registry = Arc::clone(&registry);
-                let landed = Arc::clone(&landed);
-                scope.spawn(move || {
-                    let mut c = Conn::new(registry);
-                    c.handle_line("USE bench");
-                    for k in 0..per_writer {
-                        let r = c.handle_line(&format!(
-                            "FACT P{}(t1_{});",
-                            (w + k) % 3,
-                            (w * per_writer + k) % 512
-                        ));
-                        assert!(matches!(r, Response::Ok(_)), "burst write failed: {r:?}");
-                        landed.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        let wall = t0.elapsed();
-        let after = stats_of(&mut conn);
-        let wps = landed.load(Ordering::Relaxed) as f64 / wall.as_secs_f64().max(1e-12);
-        criterion::record(
-            &format!("prepared/serving-mvcc/burst-writes-per-sec/{leg}"),
-            wps,
-        );
-        println!(
-            "prepared/mvcc-burst           {leg:<6} {} writes from {BURST_WRITERS} connections in {wall:?} ({wps:.0} writes/s)",
-            landed.load(Ordering::Relaxed)
-        );
-        if mode == ConcurrencyMode::Mvcc {
-            let commits = (after.group_commits - before.group_commits).max(1);
-            let fragments = after.group_fragments - before.group_fragments;
-            let avg = fragments as f64 / commits as f64;
-            criterion::record("prepared/serving-mvcc/burst-fragments-per-commit", avg);
-            criterion::record(
-                "prepared/serving-mvcc/burst-max-group",
-                after.max_group as f64,
-            );
-            println!(
-                "prepared/mvcc-coalescing      burst: {fragments} fragments over {commits} group commits = {avg:.1} avg (max group {}) — target >= 2 fragments/commit: {}",
-                after.max_group,
-                if avg >= 2.0 { "MET" } else { "NOT MET" }
-            );
+    let (registry, mut conn) = serving_conn(&voc, &db);
+    let before = stats_of(&mut conn);
+    let landed = Arc::new(AtomicU64::new(0));
+    let t0 = Instant::now();
+    std::thread::scope(|scope| {
+        for w in 0..BURST_WRITERS {
+            let registry = Arc::clone(&registry);
+            let landed = Arc::clone(&landed);
+            scope.spawn(move || {
+                let mut c = Conn::new(registry);
+                c.handle_line("USE bench");
+                for k in 0..per_writer {
+                    let r = c.handle_line(&format!(
+                        "FACT P{}(t1_{});",
+                        (w + k) % 3,
+                        (w * per_writer + k) % 512
+                    ));
+                    assert!(matches!(r, Response::Ok(_)), "burst write failed: {r:?}");
+                    landed.fetch_add(1, Ordering::Relaxed);
+                }
+            });
         }
-    }
+    });
+    let wall = t0.elapsed();
+    let after = stats_of(&mut conn);
+    let wps = landed.load(Ordering::Relaxed) as f64 / wall.as_secs_f64().max(1e-12);
+    criterion::record("prepared/serving-mvcc/burst-writes-per-sec/mvcc", wps);
+    println!(
+        "prepared/mvcc-burst           {} writes from {BURST_WRITERS} connections in {wall:?} ({wps:.0} writes/s)",
+        landed.load(Ordering::Relaxed)
+    );
+    let commits = (after.group_commits - before.group_commits).max(1);
+    let fragments = after.group_fragments - before.group_fragments;
+    let avg = fragments as f64 / commits as f64;
+    criterion::record("prepared/serving-mvcc/burst-fragments-per-commit", avg);
+    criterion::record(
+        "prepared/serving-mvcc/burst-max-group",
+        after.max_group as f64,
+    );
+    println!(
+        "prepared/mvcc-coalescing      burst: {fragments} fragments over {commits} group commits = {avg:.1} avg (max group {}) — target >= 2 fragments/commit: {}",
+        after.max_group,
+        if avg >= 2.0 { "MET" } else { "NOT MET" }
+    );
 }
 
 /// The durability overhead (ISSUE 7 acceptance): write mean through the
@@ -950,7 +862,7 @@ fn report_trace_overhead(_c: &mut Criterion) {
     const LEGS: [(&str, Option<u64>); 2] = [("disabled", None), ("enabled", Some(u64::MAX))];
     let mut conns: Vec<_> = LEGS
         .iter()
-        .map(|&(_, slow)| serving_conn(&voc, &db).with_slow_ms(slow))
+        .map(|&(_, slow)| serving_conn(&voc, &db).1.with_slow_ms(slow))
         .collect();
     // The overhead under measure is ~100–200ns on a ~5µs request, well
     // inside this box's frequency drift over a single leg's runtime —

@@ -5,17 +5,16 @@
 //! gated measurement regressed by more than the allowed ratio.
 //!
 //! ```sh
-//! BENCH_JSON=target/bench_gate.json cargo bench -p indord-bench --bench prepared -- --smoke
+//! BENCH_JSON="$PWD/target/bench_gate.json" cargo bench -p indord-bench --bench prepared -- --smoke
 //! cargo run -p indord-bench --bin bench_gate -- target/bench_gate.json crates/bench/BENCH_prepared.json
 //! ```
 //!
-//! Only the *sequential* serving leg is gated: the single-core CI
+//! Only the *sequential* serving legs are gated: the single-core CI
 //! runner makes the storm/burst legs measure the scheduler's
-//! timeslicing rather than the code under test, and the rwlock
-//! write-mean leg is dominated by the 25ms read hold it deliberately
-//! waits out. The MVCC write mean under a held read is the commit
-//! path's own cost (patch + freeze + publish, never blocked), so it is
-//! stable enough to gate even from a smoke run's short sample.
+//! timeslicing rather than the code under test. The MVCC write mean
+//! under a held read is the commit path's own cost (patch + freeze +
+//! publish, never blocked), so it is stable enough to gate even from a
+//! smoke run's short sample.
 
 use std::process::ExitCode;
 

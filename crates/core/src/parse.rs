@@ -29,7 +29,9 @@
 //! `&` binds tighter than `|`; parentheses group; `exists` may appear
 //! nested. Names not bound by an `exists` are constants and must already be
 //! interned in the vocabulary. Comparison chains (`s < t <= u`) are sugar
-//! for conjunctions.
+//! for conjunctions. Parentheses and `exists` binders nest at most
+//! [`MAX_QUERY_DEPTH`] levels deep; deeper input is a parse error, so
+//! the recursive descent can never exhaust its thread's stack.
 
 use crate::atom::OrderRel;
 use crate::database::Database;
@@ -56,6 +58,12 @@ pub fn caret_snippet(input: &str, span: Span) -> String {
         .max(1);
     format!("{line}\n{}{}", " ".repeat(col), "^".repeat(width))
 }
+
+/// How many levels of `(` and `exists` a query may nest. Far beyond any
+/// query a person writes, and small enough that the recursive descent
+/// (and the recursive passes over the resulting [`QueryExpr`]) stay
+/// well inside a 2 MiB thread stack even in debug builds.
+pub const MAX_QUERY_DEPTH: usize = 64;
 
 /// Parses a database in the text syntax, interning symbols as needed.
 pub fn parse_database(voc: &mut Vocabulary, input: &str) -> Result<Database> {
@@ -495,14 +503,16 @@ impl Parser {
     // ---- query ----------------------------------------------------------
 
     fn query(&mut self, voc: &Vocabulary) -> Result<QueryExpr> {
-        self.disjunction(voc)
+        self.disjunction(voc, 0)
     }
 
-    fn disjunction(&mut self, voc: &Vocabulary) -> Result<QueryExpr> {
-        let mut parts = vec![self.conjunction(voc)?];
+    /// `depth` counts the `(`/`exists` levels enclosing this point; see
+    /// [`Parser::nest`].
+    fn disjunction(&mut self, voc: &Vocabulary, depth: usize) -> Result<QueryExpr> {
+        let mut parts = vec![self.conjunction(voc, depth)?];
         while *self.peek() == Tok::Pipe {
             self.bump();
-            parts.push(self.conjunction(voc)?);
+            parts.push(self.conjunction(voc, depth)?);
         }
         Ok(if parts.len() == 1 {
             parts.pop().unwrap()
@@ -511,11 +521,11 @@ impl Parser {
         })
     }
 
-    fn conjunction(&mut self, voc: &Vocabulary) -> Result<QueryExpr> {
-        let mut parts = vec![self.primary(voc)?];
+    fn conjunction(&mut self, voc: &Vocabulary, depth: usize) -> Result<QueryExpr> {
+        let mut parts = vec![self.primary(voc, depth)?];
         while *self.peek() == Tok::Amp {
             self.bump();
-            parts.push(self.primary(voc)?);
+            parts.push(self.primary(voc, depth)?);
         }
         Ok(if parts.len() == 1 {
             parts.pop().unwrap()
@@ -524,9 +534,21 @@ impl Parser {
         })
     }
 
-    fn primary(&mut self, voc: &Vocabulary) -> Result<QueryExpr> {
+    /// The depth one level inside the `(` or `exists` at the cursor, or
+    /// a parse error pointing at it once [`MAX_QUERY_DEPTH`] is reached.
+    fn nest(&self, depth: usize) -> Result<usize> {
+        if depth >= MAX_QUERY_DEPTH {
+            return Err(self.err(&format!(
+                "query nests deeper than {MAX_QUERY_DEPTH} levels of `(` / `exists`"
+            )));
+        }
+        Ok(depth + 1)
+    }
+
+    fn primary(&mut self, voc: &Vocabulary, depth: usize) -> Result<QueryExpr> {
         match self.peek().clone() {
             Tok::Exists => {
+                let inner = self.nest(depth)?;
                 self.bump();
                 let mut vars = vec![self.ident()?];
                 while matches!(self.peek(), Tok::Ident(_)) {
@@ -534,12 +556,13 @@ impl Parser {
                 }
                 self.expect(Tok::Dot, "`.` after exists variables")?;
                 // Scope of exists extends over a disjunction body.
-                let body = self.disjunction(voc)?;
+                let body = self.disjunction(voc, inner)?;
                 Ok(QueryExpr::Exists(vars, Box::new(body)))
             }
             Tok::LParen => {
+                let inner = self.nest(depth)?;
                 self.bump();
-                let e = self.disjunction(voc)?;
+                let e = self.disjunction(voc, inner)?;
                 self.expect(Tok::RParen, "`)`")?;
                 Ok(e)
             }
@@ -779,6 +802,46 @@ mod tests {
         let input = "exists t. P(t) P(t)";
         let e = parse_query(&mut voc, input).unwrap_err();
         assert_eq!(e.span(), Some(Span::new(15, 16)));
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_a_spanned_parse_error() {
+        let mut voc = Vocabulary::new();
+        parse_database(&mut voc, "pred P(ord);").unwrap();
+        // Exactly at the cap: accepted.
+        let ok = format!(
+            "{}exists t. P(t){}",
+            "(".repeat(MAX_QUERY_DEPTH - 1),
+            ")".repeat(MAX_QUERY_DEPTH - 1)
+        );
+        assert!(parse_query_expr_in(&voc, &ok).is_ok());
+        // One level deeper: refused at the `exists` that opens it.
+        let over = format!(
+            "{}exists t. P(t){}",
+            "(".repeat(MAX_QUERY_DEPTH),
+            ")".repeat(MAX_QUERY_DEPTH)
+        );
+        let e = parse_query_expr_in(&voc, &over).unwrap_err();
+        assert!(matches!(e, CoreError::Parse { .. }), "{e:?}");
+        assert_eq!(
+            e.span(),
+            Some(Span::new(MAX_QUERY_DEPTH, MAX_QUERY_DEPTH + 6))
+        );
+        // 10,000 levels would overflow a 2 MiB worker stack without the
+        // cap; they are refused even on a thread with half of one.
+        let deep = format!("{}P(t)", "(".repeat(10_000));
+        let nested_exists = "exists t. ".repeat(10_000) + "P(t)";
+        std::thread::Builder::new()
+            .stack_size(1024 * 1024)
+            .spawn(move || {
+                for text in [deep, nested_exists] {
+                    let e = parse_query_expr_in(&voc, &text).unwrap_err();
+                    assert!(e.to_string().contains("nests deeper"), "{e}");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! Queries are built from proper atoms and order atoms with `∧`, `∨`, `∃`
 //! (§2). For complexity analysis the paper assumes queries in disjunctive
 //! normal form; [`QueryExpr::to_dnf`] performs the conversion, producing a
-//! [`DnfQuery`] of normalized [`ConjunctiveQuery`] disjuncts.
+//! [`DnfQuery`] of normalized [`ConjunctiveQuery`] disjuncts. Distributing
+//! `∧` over `∨` multiplies disjunct counts, so the conversion first sizes
+//! the result from the expression tree ([`QueryExpr::dnf_size`]) and
+//! refuses anything over [`MAX_DNF_DISJUNCTS`] before allocating.
 //!
 //! Implemented transforms from §2 of the paper:
 //!
@@ -38,6 +41,11 @@ pub enum QTerm {
     /// An order constant.
     OrdConst(OrdSym),
 }
+
+/// The most disjuncts [`QueryExpr::to_dnf`] will build. Larger queries
+/// are refused with [`CoreError::CapExceeded`]; the same bound as the §7
+/// `!=` expansion cap of the engine.
+pub const MAX_DNF_DISJUNCTS: usize = 4096;
 
 /// A positive existential query expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,12 +110,35 @@ impl QueryExpr {
         }
     }
 
+    /// How many disjuncts the DNF of this expression has before
+    /// unsatisfiable ones are dropped, computed from the tree without
+    /// building any: `And` multiplies its parts' counts, `Or` adds them,
+    /// `Exists` passes its body's through, and an atom counts one.
+    /// Saturates at `usize::MAX`.
+    pub(crate) fn dnf_size(&self) -> usize {
+        match self {
+            QueryExpr::And(parts) => parts.iter().fold(1, |n, p| n.saturating_mul(p.dnf_size())),
+            QueryExpr::Or(parts) => parts.iter().fold(0, |n, p| n.saturating_add(p.dnf_size())),
+            QueryExpr::Exists(_, body) => body.dnf_size(),
+            QueryExpr::Proper { .. } | QueryExpr::Order { .. } => 1,
+        }
+    }
+
     /// Converts to disjunctive normal form and normalizes each disjunct.
     ///
     /// Unsatisfiable disjuncts (whose order atoms are cyclic through `<`)
     /// are dropped; a query all of whose disjuncts are unsatisfiable yields
-    /// an empty [`DnfQuery`], which no database entails.
+    /// an empty [`DnfQuery`], which no database entails. A query whose DNF
+    /// would exceed [`MAX_DNF_DISJUNCTS`] is refused with
+    /// [`CoreError::CapExceeded`] before anything is built.
     pub fn to_dnf(&self, voc: &Vocabulary) -> Result<DnfQuery> {
+        let size = self.dnf_size();
+        if size > MAX_DNF_DISJUNCTS {
+            return Err(CoreError::CapExceeded {
+                what: format!("DNF expansion ({size} disjuncts)"),
+                limit: MAX_DNF_DISJUNCTS,
+            });
+        }
         // 1. Flatten to a disjunction of atom lists, tracking scopes.
         let mut disjuncts: Vec<Vec<FlatAtom>> = vec![Vec::new()];
         flatten(self, &mut Vec::new(), &mut disjuncts)?;
@@ -1301,5 +1332,63 @@ mod tests {
         );
         let d = e.to_dnf(&v).unwrap();
         assert_eq!(d.disjuncts[0].n_ord_vars, 2);
+    }
+
+    /// `(P(t0) | Q(t0)) & … & (P(tk) | Q(tk))` under one `exists`: `2^k`
+    /// DNF disjuncts from a linear-size expression.
+    fn product_of_disjunctions(v: &Vocabulary, k: usize) -> QueryExpr {
+        let names: Vec<String> = (0..k).map(|i| format!("t{i}")).collect();
+        let factors = names
+            .iter()
+            .map(|t| {
+                QueryExpr::Or(vec![
+                    QueryExpr::atom1(p(v, "P"), t),
+                    QueryExpr::atom1(p(v, "Q"), t),
+                ])
+            })
+            .collect();
+        QueryExpr::Exists(names, Box::new(QueryExpr::And(factors)))
+    }
+
+    #[test]
+    fn dnf_size_matches_the_built_dnf() {
+        let v = voc();
+        for k in 0..=6 {
+            let e = product_of_disjunctions(&v, k);
+            assert_eq!(e.dnf_size(), 1 << k);
+            assert_eq!(e.to_dnf(&v).unwrap().disjuncts.len(), 1 << k);
+        }
+        let e = QueryExpr::Or(vec![product_of_disjunctions(&v, 2), QueryExpr::Or(vec![])]);
+        assert_eq!(e.dnf_size(), 4);
+        assert_eq!(e.to_dnf(&v).unwrap().disjuncts.len(), 4);
+        // Saturates instead of overflowing.
+        assert_eq!(product_of_disjunctions(&v, 200).dnf_size(), usize::MAX);
+    }
+
+    #[test]
+    fn oversized_dnf_is_refused_before_it_is_built() {
+        let v = voc();
+        let at_cap = product_of_disjunctions(&v, 12);
+        assert_eq!(at_cap.dnf_size(), MAX_DNF_DISJUNCTS);
+        assert_eq!(
+            at_cap.to_dnf(&v).unwrap().disjuncts.len(),
+            MAX_DNF_DISJUNCTS
+        );
+        // Twenty conjoined two-way disjunctions: 2^20 disjuncts, about a
+        // minute of work to build — refused before any is built.
+        let start = std::time::Instant::now();
+        let e = product_of_disjunctions(&v, 20).to_dnf(&v).unwrap_err();
+        assert!(
+            start.elapsed() < std::time::Duration::from_millis(100),
+            "{:?}",
+            start.elapsed()
+        );
+        match e {
+            CoreError::CapExceeded { what, limit } => {
+                assert_eq!(limit, MAX_DNF_DISJUNCTS);
+                assert!(what.contains("1048576"), "{what}");
+            }
+            other => panic!("expected CapExceeded, got {other:?}"),
+        }
     }
 }

@@ -53,8 +53,6 @@
 //!
 //! The [`Session::epoch`] counter increments on every mutation, so
 //! external caches keyed on a session can detect staleness.
-//! [`Session::with_scaffold_rebuild_on_write`] restores the historical
-//! drop-on-write behavior (the benchmark baseline), and
 //! [`Session::with_max_pairs`] bounds the scaffold's pair table for
 //! long-lived sessions.
 //!
@@ -291,9 +289,6 @@ pub struct Session {
     epoch: u64,
     /// Bound on the scaffold's memoized pair table (`None` = unbounded).
     max_pairs: Option<usize>,
-    /// When set, writes drop the scaffold instead of patching it — the
-    /// pre-incremental behavior, kept as the benchmark baseline.
-    rebuild_scaffold_on_write: bool,
     /// Every cached view sits behind an `Arc`: [`Session::freeze`] clones
     /// the `OnceLock`s, which is one reference-count bump per warm view,
     /// and the write paths unshare only the view they touch
@@ -326,7 +321,6 @@ impl Clone for Session {
             db: self.db.clone(),
             epoch: self.epoch,
             max_pairs: self.max_pairs,
-            rebuild_scaffold_on_write: self.rebuild_scaffold_on_write,
             ..Session::default()
         }
     }
@@ -357,16 +351,6 @@ impl Session {
         // An already-built scaffold was configured unbounded; rebuild it
         // lazily under the new bound.
         self.scaffold.take();
-        self
-    }
-
-    /// Restores the pre-incremental invalidation behavior: every write
-    /// that touches order atoms or labels drops the scaffold for a full
-    /// rebuild instead of patching it. Exists so the `read-write` bench
-    /// can measure incremental maintenance against drop-and-rebuild on
-    /// identical workloads; not useful in production.
-    pub fn with_scaffold_rebuild_on_write(mut self, rebuild: bool) -> Self {
-        self.rebuild_scaffold_on_write = rebuild;
         self
     }
 
@@ -516,7 +500,6 @@ impl Session {
             db: self.db.clone(),
             epoch: self.epoch,
             max_pairs: self.max_pairs,
-            rebuild_scaffold_on_write: self.rebuild_scaffold_on_write,
             normal: copied(&self.normal),
             monadic: copied(&self.monadic),
             voc_stamp: copied(&self.voc_stamp),
@@ -654,9 +637,7 @@ impl Session {
                 // The scaffold's D(S,T) tables cache label unions, which
                 // this insert changes — patch them in place (a label-only
                 // insert affects nothing else the scaffold memoizes).
-                if self.rebuild_scaffold_on_write {
-                    self.scaffold.take();
-                } else if let Some(v) = vertex {
+                if let Some(v) = vertex {
                     if let Some(sc) = self.scaffold_mut() {
                         sc.patch_label_insert(v, atom.pred);
                     }
@@ -759,7 +740,6 @@ impl Session {
         let mut scaffold = self
             .scaffold
             .take()
-            .filter(|_| !self.rebuild_scaffold_on_write)
             .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|shared| shared.cow_clone()));
         // Split borrows: the two view `OnceLock`s are distinct fields.
         let Session {
@@ -854,9 +834,7 @@ impl Session {
         if let Some(Ok(mdb)) = self.monadic.get_mut() {
             Arc::make_mut(mdb).ne.push((cu, cv));
         }
-        if self.rebuild_scaffold_on_write {
-            self.scaffold.take();
-        } else if let Some(sc) = self.scaffold_mut() {
+        if let Some(sc) = self.scaffold_mut() {
             sc.note_ne_mutation();
         }
         true
@@ -953,24 +931,6 @@ mod tests {
         assert!(s.scaffold.get().is_some());
         let fresh = Session::new(s.database().clone());
         assert_eq!(fresh.normal().unwrap().graph, s.normal().unwrap().graph);
-    }
-
-    #[test]
-    fn scaffold_rebuild_on_write_restores_drop_behavior() {
-        // The benchmark-baseline knob: identical mutations, but the
-        // scaffold drops on every write like before the incremental work.
-        let mut voc = Vocabulary::new();
-        let db = parse_database(&mut voc, "pred P(ord); pred Q(ord); P(u); Q(v);").unwrap();
-        let mut s = Session::new(db).with_scaffold_rebuild_on_write(true);
-        s.disjunctive_scaffold(&voc).unwrap();
-        let (u, v) = (voc.ord("u"), voc.ord("v"));
-        s.assert_lt(u, v);
-        assert!(s.is_warm(), "graph views still patch in place");
-        assert!(s.scaffold.get().is_none(), "baseline drops the scaffold");
-        s.disjunctive_scaffold(&voc).unwrap();
-        let p = voc.find_pred("P").unwrap();
-        s.insert_fact(&voc, p, vec![Term::Ord(v)]).unwrap();
-        assert!(s.scaffold.get().is_none(), "label writes drop it too");
     }
 
     #[test]

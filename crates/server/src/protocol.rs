@@ -619,7 +619,7 @@ pub struct StatsReply {
     /// 99th-percentile request latency, nanoseconds.
     pub p99_ns: u64,
     /// Write jobs currently queued for the database's mutator thread
-    /// (always 0 under the RwLock ablation mode, and usually 0 at rest).
+    /// (usually 0 at rest).
     pub commit_queue_depth: u64,
     /// 99th-percentile commit-queue depth observed at enqueue time.
     pub queue_depth_p99: u64,
@@ -639,7 +639,7 @@ pub struct StatsReply {
     /// n-ary facts) and sorted behind the patchable ones.
     pub structural_writes: u64,
     /// Age of the snapshot that answered this `STATS`, nanoseconds
-    /// since it was published (0 under the RwLock mode).
+    /// since it was published.
     pub snapshot_age_ns: u64,
     /// WAL records appended (0 for an in-memory database; all wal_*,
     /// fsync, snapshot-file, and recovery counters below likewise).

@@ -22,16 +22,11 @@
 //! replies are sent — so a client observes its own writes on every
 //! later request, and other clients' writes atomically (a snapshot is
 //! always a prefix of the committed write order, never a torn
-//! fragment). Fragment atomicity is unchanged from the lock era: a
-//! fragment that fails to parse, panics mid-apply, or would leave the
-//! database without models (a `<`-cycle, or a `!=` over N1-merged
-//! constants — there is no DELETE to recover with) is rolled back and
-//! reported as a typed error, contributing nothing to the published
-//! state or counters.
-//!
-//! The previous single-writer/shared-reader `RwLock` runtime is kept
-//! behind [`ConcurrencyMode::RwLock`] (see [`Registry::with_mode`]) as
-//! the ablation baseline for the `serving-mvcc` bench group.
+//! fragment). Fragments are atomic: a fragment that fails to parse,
+//! panics mid-apply, or would leave the database without models (a
+//! `<`-cycle, or a `!=` over N1-merged constants — there is no DELETE
+//! to recover with) is rolled back and reported as a typed error,
+//! contributing nothing to the published state or counters.
 //!
 //! ## Stats and observability
 //!
@@ -79,8 +74,8 @@ pub const DEFAULT_MAX_QUEUE: usize = 256;
 const RESTART_BUDGET: u64 = 3;
 
 /// Per-database request counters (lock-free), the metrics registry
-/// (latency histograms per verb and fired route), and the MVCC
-/// group-commit counters (all zero under the RwLock ablation).
+/// (latency histograms per verb and fired route), and the group-commit
+/// counters.
 #[derive(Debug)]
 pub struct DbStats {
     queries: AtomicU64,
@@ -236,15 +231,6 @@ impl DbStats {
     }
 }
 
-/// The mutable state of one named database under the RwLock ablation
-/// mode, guarded by the db's lock.
-#[derive(Debug)]
-struct DbState {
-    voc: Vocabulary,
-    session: Session,
-    prepared: HashMap<String, PreparedQuery>,
-}
-
 /// One published, immutable version of a database: a frozen warm
 /// [`Session`] (scaffold shared by `Arc` — see the session module docs
 /// on sharing rules), the vocabulary it was built under, and the
@@ -345,29 +331,6 @@ struct WriteJob {
     phases: Option<Arc<Mutex<PhaseTimes>>>,
 }
 
-/// How a [`Registry`] guards its databases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConcurrencyMode {
-    /// Snapshot-isolated reads + group-commit mutator thread (default).
-    #[default]
-    Mvcc,
-    /// The PR 5 single-writer/shared-reader lock, kept as the ablation
-    /// baseline for benches.
-    RwLock,
-}
-
-/// The concurrency core of one database: either the MVCC snapshot slot
-/// plus commit queue, or the legacy lock.
-#[derive(Debug)]
-enum DbCore {
-    Mvcc {
-        current: Arc<RwLock<Arc<DbSnapshot>>>,
-        sender: Mutex<mpsc::Sender<WriteJob>>,
-    },
-    // Boxed: `DbState` is large next to the two-pointer Mvcc arm.
-    Locked(Box<RwLock<DbState>>),
-}
-
 /// The mutator-owned durability state of one database: its directory,
 /// the open WAL, the snapshot cadence, and the prepared queries' source
 /// text (needed to encode snapshots — compiled plans don't serialize).
@@ -381,16 +344,18 @@ struct DurableState {
     prepared_src: HashMap<String, String>,
 }
 
-/// One named database: the concurrency core plus counters shared with
-/// the mutator thread, and — under MVCC — the mutator's join handle so
-/// shutdown can drain and join it.
+/// One named database: the published snapshot slot, the commit queue
+/// into its mutator thread, counters shared with the mutator, and the
+/// mutator's join handle so shutdown can drain and join it.
 #[derive(Debug)]
 pub struct Db {
-    core: DbCore,
+    /// The latest published snapshot; readers clone the `Arc` under a
+    /// briefly-held read lock, the mutator swaps it after each commit.
+    current: Arc<RwLock<Arc<DbSnapshot>>>,
+    sender: Mutex<mpsc::Sender<WriteJob>>,
     stats: Arc<DbStats>,
     mutator: Mutex<Option<JoinHandle<()>>>,
-    /// Shared with the mutator/supervisor; `ok` forever under the
-    /// RwLock ablation (no WAL, no mutator to supervise).
+    /// Shared with the mutator/supervisor.
     health: HealthSlot,
     /// Set before the shutdown job is enqueued: admission refuses new
     /// writes with `ERR shutdown`, and the mutator rejects
@@ -400,62 +365,9 @@ pub struct Db {
     max_queue: usize,
 }
 
-/// A pinned read view of a database: an `Arc` snapshot under MVCC, a
-/// read guard under the RwLock ablation. Everything a read needs —
-/// vocabulary, warm session, prepared queries — hangs off it.
-pub struct ReadView<'a>(ViewInner<'a>);
-
-enum ViewInner<'a> {
-    Snapshot(Arc<DbSnapshot>),
-    Guard(std::sync::RwLockReadGuard<'a, DbState>),
-}
-
-impl ReadView<'_> {
-    /// The vocabulary of the pinned state.
-    pub fn vocabulary(&self) -> &Vocabulary {
-        match &self.0 {
-            ViewInner::Snapshot(s) => &s.voc,
-            ViewInner::Guard(g) => &g.voc,
-        }
-    }
-
-    /// The session of the pinned state.
-    pub fn session(&self) -> &Session {
-        match &self.0 {
-            ViewInner::Snapshot(s) => &s.session,
-            ViewInner::Guard(g) => &g.session,
-        }
-    }
-
-    /// Looks up a prepared query in the pinned state.
-    pub fn prepared(&self, name: &str) -> Option<&PreparedQuery> {
-        match &self.0 {
-            ViewInner::Snapshot(s) => s.prepared.get(name),
-            ViewInner::Guard(g) => g.prepared.get(name),
-        }
-    }
-
-    /// Number of prepared queries in the pinned state.
-    pub fn prepared_len(&self) -> usize {
-        match &self.0 {
-            ViewInner::Snapshot(s) => s.prepared.len(),
-            ViewInner::Guard(g) => g.prepared.len(),
-        }
-    }
-
-    /// Age of the pinned snapshot in nanoseconds (0 under the lock: a
-    /// guard is always the live state).
-    fn snapshot_age_ns(&self) -> u64 {
-        match &self.0 {
-            ViewInner::Snapshot(s) => s.age_ns(),
-            ViewInner::Guard(_) => 0,
-        }
-    }
-}
-
 impl Db {
-    fn new(voc: Vocabulary, db: Database, mode: ConcurrencyMode, max_queue: usize) -> Self {
-        Db::build(voc, Session::new(db), HashMap::new(), mode, None, max_queue)
+    fn new(voc: Vocabulary, db: Database, max_queue: usize) -> Self {
+        Db::build(voc, Session::new(db), HashMap::new(), None, max_queue)
     }
 
     /// A durable database resuming from recovered on-disk state.
@@ -483,14 +395,7 @@ impl Db {
             since_snapshot,
             prepared_src,
         };
-        let db = Db::build(
-            voc,
-            session,
-            prepared,
-            ConcurrencyMode::Mvcc,
-            Some(durable),
-            max_queue,
-        );
+        let db = Db::build(voc, session, prepared, Some(durable), max_queue);
         db.stats
             .recovery_replayed_fragments
             .store(replayed_fragments, Ordering::Relaxed);
@@ -504,70 +409,47 @@ impl Db {
         voc: Vocabulary,
         session: Session,
         prepared: HashMap<String, PreparedQuery>,
-        mode: ConcurrencyMode,
         durable: Option<DurableState>,
         max_queue: usize,
     ) -> Self {
-        debug_assert!(
-            durable.is_none() || mode == ConcurrencyMode::Mvcc,
-            "durability requires the mutator thread"
-        );
         let stats = Arc::new(DbStats::new());
         let health: HealthSlot = Arc::new(Mutex::new((HealthState::Ok, String::new())));
         let closing = Arc::new(AtomicBool::new(false));
-        let mut mutator = None;
-        let core = match mode {
-            ConcurrencyMode::RwLock => DbCore::Locked(Box::new(RwLock::new(DbState {
-                voc,
-                session,
-                prepared,
-            }))),
-            ConcurrencyMode::Mvcc => {
-                let voc_arc = Arc::new(voc.clone());
-                let prepared = Arc::new(prepared);
-                let boot = Arc::new(DbSnapshot {
-                    voc: Arc::clone(&voc_arc),
-                    session: session.freeze(),
-                    prepared: Arc::clone(&prepared),
-                    seq: 0,
-                    published_at: Instant::now(),
-                });
-                let current = Arc::new(RwLock::new(boot));
-                let (tx, rx) = mpsc::channel::<WriteJob>();
-                {
-                    let m = Mutator {
-                        current: Arc::clone(&current),
-                        stats: Arc::clone(&stats),
-                        voc,
-                        session,
-                        voc_arc,
-                        prepared,
-                        seq: 0,
-                        durable,
-                        health: Arc::clone(&health),
-                        closing: Arc::clone(&closing),
-                        restarts: 0,
-                    };
-                    // The loop also exits when every Sender is gone,
-                    // i.e. when this Db is dropped without an explicit
-                    // shutdown.
-                    mutator = Some(
-                        thread::Builder::new()
-                            .name("indord-mutator".into())
-                            .spawn(move || m.run(rx))
-                            .expect("spawn mutator thread"),
-                    );
-                }
-                DbCore::Mvcc {
-                    current,
-                    sender: Mutex::new(tx),
-                }
-            }
+        let voc_arc = Arc::new(voc.clone());
+        let prepared = Arc::new(prepared);
+        let boot = Arc::new(DbSnapshot {
+            voc: Arc::clone(&voc_arc),
+            session: session.freeze(),
+            prepared: Arc::clone(&prepared),
+            seq: 0,
+            published_at: Instant::now(),
+        });
+        let current = Arc::new(RwLock::new(boot));
+        let (tx, rx) = mpsc::channel::<WriteJob>();
+        let m = Mutator {
+            current: Arc::clone(&current),
+            stats: Arc::clone(&stats),
+            voc,
+            session,
+            voc_arc,
+            prepared,
+            seq: 0,
+            durable,
+            health: Arc::clone(&health),
+            closing: Arc::clone(&closing),
+            restarts: 0,
         };
+        // The loop also exits when every Sender is gone, i.e. when this
+        // Db is dropped without an explicit shutdown.
+        let mutator = thread::Builder::new()
+            .name("indord-mutator".into())
+            .spawn(move || m.run(rx))
+            .expect("spawn mutator thread");
         Db {
-            core,
+            current,
+            sender: Mutex::new(tx),
             stats,
-            mutator: Mutex::new(mutator),
+            mutator: Mutex::new(Some(mutator)),
             health,
             closing,
             max_queue,
@@ -590,9 +472,8 @@ impl Db {
     }
 
     /// Drains the commit queue, fsyncs the WAL tail, and joins the
-    /// mutator thread. Idempotent; a no-op under the RwLock ablation.
-    /// After this, writes fail with a typed error; reads keep serving
-    /// the last published snapshot.
+    /// mutator thread. Idempotent. After this, writes fail with a typed
+    /// error; reads keep serving the last published snapshot.
     pub fn shutdown_mutator(&self) {
         let handle = self
             .mutator
@@ -600,65 +481,44 @@ impl Db {
             .unwrap_or_else(|p| p.into_inner())
             .take();
         let Some(handle) = handle else { return };
-        if let DbCore::Mvcc { sender, .. } = &self.core {
-            // From here on, admission refuses new writes with
-            // `ERR shutdown`, and the drain loop rejects
-            // queued-but-unlogged jobs with the same error instead of
-            // applying them — a full bounded queue cannot stall the
-            // shutdown, and nothing unlogged is silently committed.
-            self.closing.store(true, Ordering::SeqCst);
-            let (tx, rx) = mpsc::channel();
-            self.stats.pending.fetch_add(1, Ordering::Relaxed);
-            let sent = sender
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .send(WriteJob {
-                    op: WriteOp::Shutdown,
-                    reply: tx,
-                    enqueued_raw: clock::raw_now(),
-                    phases: None,
-                })
-                .is_ok();
-            if sent {
-                // The ack arrives only after the WAL tail is synced.
-                let _ = rx.recv();
-            }
+        // From here on, admission refuses new writes with
+        // `ERR shutdown`, and the drain loop rejects queued-but-unlogged
+        // jobs with the same error instead of applying them — a full
+        // bounded queue cannot stall the shutdown, and nothing unlogged
+        // is silently committed.
+        self.closing.store(true, Ordering::SeqCst);
+        let (tx, rx) = mpsc::channel();
+        self.stats.pending.fetch_add(1, Ordering::Relaxed);
+        let sent = self
+            .sender
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .send(WriteJob {
+                op: WriteOp::Shutdown,
+                reply: tx,
+                enqueued_raw: clock::raw_now(),
+                phases: None,
+            })
+            .is_ok();
+        if sent {
+            // The ack arrives only after the WAL tail is synced.
+            let _ = rx.recv();
         }
         let _ = handle.join();
     }
 
-    /// Pins a read view: one `Arc` clone under a briefly-held lock on
-    /// the snapshot slot (MVCC), or the read guard (ablation).
-    pub fn view(&self) -> ReadView<'_> {
-        match &self.core {
-            DbCore::Mvcc { current, .. } => ReadView(ViewInner::Snapshot(
-                current.read().unwrap_or_else(|p| p.into_inner()).clone(),
-            )),
-            DbCore::Locked(state) => ReadView(ViewInner::Guard(
-                state.read().unwrap_or_else(|p| p.into_inner()),
-            )),
-        }
+    /// Pins the current snapshot: one `Arc` clone under a briefly-held
+    /// lock on the snapshot slot. A reader can hold it across arbitrary
+    /// work without blocking anything.
+    pub fn snapshot(&self) -> Arc<DbSnapshot> {
+        self.current
+            .read()
+            .unwrap_or_else(|p| p.into_inner())
+            .clone()
     }
 
-    /// Pins the current snapshot as an owned `Arc` — a reader can hold
-    /// it across arbitrary work without blocking anything. `None` under
-    /// the RwLock ablation (there are no snapshots to pin).
-    pub fn read_snapshot(&self) -> Option<Arc<DbSnapshot>> {
-        match &self.core {
-            DbCore::Mvcc { current, .. } => {
-                Some(current.read().unwrap_or_else(|p| p.into_inner()).clone())
-            }
-            DbCore::Locked(_) => None,
-        }
-    }
-
-    /// Routes one write through the commit path and blocks for its
-    /// typed per-client result. Under MVCC the reply arrives only after
-    /// the snapshot containing the write was published
-    /// (read-your-own-writes on every later request).
     /// Enqueues `op` on the commit queue without waiting for the reply;
-    /// the caller keeps the receiver. MVCC only — the RwLock ablation
-    /// has no queue to enqueue on.
+    /// the caller keeps the receiver.
     fn submit_nonblocking(
         &self,
         op: WriteOp,
@@ -674,11 +534,6 @@ impl Db {
         op: WriteOp,
         phases: Option<Arc<Mutex<PhaseTimes>>>,
     ) -> Result<mpsc::Receiver<Result<Response, WireError>>, WireError> {
-        let DbCore::Mvcc { sender, .. } = &self.core else {
-            return Err(WireError::proto(
-                "non-blocking submit requires the MVCC core",
-            ));
-        };
         // Admission control applies to client writes; the control/test
         // ops (`Shutdown`, `Stall`, `Boom`) bypass it — shutdown must
         // always reach the mutator, and the test hooks need to work
@@ -719,7 +574,7 @@ impl Db {
             ));
         }
         self.stats.metrics.record_queue_depth(depth);
-        sender
+        self.sender
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .send(WriteJob {
@@ -774,10 +629,13 @@ impl Db {
         self.submit_deadline(op, None)
     }
 
-    /// Like [`Db::submit`], but the caller stops waiting at `deadline`:
-    /// the write stays queued (it may still commit — the reply channel
-    /// is simply dropped), and the caller gets a typed `ERR deadline`
-    /// telling it so.
+    /// Routes one write through the commit path and blocks for its
+    /// typed per-client result, which arrives only after the snapshot
+    /// containing the write was published (read-your-own-writes on every
+    /// later request). The caller stops waiting at `deadline`: the write
+    /// stays queued (it may still commit — the reply channel is simply
+    /// dropped), and the caller gets a typed `ERR deadline` telling it
+    /// so.
     fn submit_deadline(
         &self,
         op: WriteOp,
@@ -788,72 +646,30 @@ impl Db {
 
     /// [`Db::submit_deadline`] with an optional phase-times slot (see
     /// [`Db::submit_nonblocking_traced`]); the slot is filled by the
-    /// time the reply arrives. Ignored under the RwLock ablation.
+    /// time the reply arrives.
     fn submit_deadline_traced(
         &self,
         op: WriteOp,
         deadline: Option<Instant>,
         phases: Option<Arc<Mutex<PhaseTimes>>>,
     ) -> Result<Response, WireError> {
-        match &self.core {
-            DbCore::Mvcc { .. } => {
-                let rx = self.submit_nonblocking_traced(op, phases)?;
-                match deadline {
-                    None => rx.recv().unwrap_or_else(|_| {
-                        Err(WireError::proto("database mutator dropped the write"))
-                    }),
-                    Some(d) => {
-                        let wait = d.saturating_duration_since(Instant::now());
-                        match rx.recv_timeout(wait) {
-                            Ok(result) => result,
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                // Counted by the dispatching Conn, like
-                                // read-side expiries.
-                                Err(WireError::kinded(
-                                    ErrorKind::Deadline,
-                                    "deadline expired while the write was queued; \
-                                     it was not acked but may still commit",
-                                ))
-                            }
-                            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                Err(WireError::proto("database mutator dropped the write"))
-                            }
-                        }
-                    }
-                }
-            }
-            DbCore::Locked(state) => {
-                let mut st = state.write().unwrap_or_else(|p| p.into_inner());
-                let st = &mut *st;
-                match op {
-                    WriteOp::Fragment(fragment) => {
-                        let n = apply_fragment_atomic(&mut st.voc, &mut st.session, &fragment)?;
-                        self.stats.writes.fetch_add(n, Ordering::Relaxed);
-                        Ok(Response::Ok(format!(
-                            "inserted {n} atoms (epoch {})",
-                            st.session.epoch()
-                        )))
-                    }
-                    WriteOp::Prepare { name, query } => {
-                        let pq = compile_prepared(&st.voc, &query)?;
-                        let plan = format!("{:?}", pq.plan());
-                        st.prepared.insert(name.clone(), pq);
-                        Ok(Response::Ok(format!("prepared {name} (plan {plan})")))
-                    }
-                    WriteOp::Flush => Err(WireError::proto(
-                        "FLUSH requires a durable database (start the server with --data-dir)",
-                    )),
-                    // There is no mutator thread to join under the lock.
-                    WriteOp::Shutdown => Ok(Response::Ok("shutdown complete".to_string())),
-                    WriteOp::Stall(d) => {
-                        thread::sleep(d);
-                        Ok(Response::Ok("stalled".to_string()))
-                    }
-                    // There is no mutator thread to panic under the lock.
-                    WriteOp::Boom { .. } => Err(WireError::proto(
-                        "panic injection requires the MVCC mutator thread",
-                    )),
-                }
+        let rx = self.submit_nonblocking_traced(op, phases)?;
+        let Some(d) = deadline else {
+            return rx
+                .recv()
+                .unwrap_or_else(|_| Err(WireError::proto("database mutator dropped the write")));
+        };
+        let wait = d.saturating_duration_since(Instant::now());
+        match rx.recv_timeout(wait) {
+            Ok(result) => result,
+            // Counted by the dispatching Conn, like read-side expiries.
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(WireError::kinded(
+                ErrorKind::Deadline,
+                "deadline expired while the write was queued; \
+                 it was not acked but may still commit",
+            )),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                Err(WireError::proto("database mutator dropped the write"))
             }
         }
     }
@@ -1202,8 +1018,7 @@ impl Mutator {
                 continue;
             }
             // A panic must not take the mutator (and with it every
-            // future write) down: report it as the typed internal error
-            // the lock-era per-client catch_unwind produced.
+            // future write) down: report it as a typed internal error.
             let apply_t0 = clock::raw_now();
             let (result, changed) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 apply_write(
@@ -1501,10 +1316,9 @@ pub(crate) fn compile_prepared(voc: &Vocabulary, query: &str) -> Result<Prepared
 /// leave neither facts nor interned declarations behind — interning is
 /// append-only, so truncating to the mark removes exactly this parse's
 /// symbols), snapshot-rollback around the can-fail order-atom path, and
-/// reject fragments that leave the database without models. Shared by
-/// the MVCC mutator and the RwLock ablation so both modes keep the
-/// exact PR 5 atomicity contract — and `pub(crate)` because WAL replay
-/// routes through it too (recovery is the live path, re-run).
+/// reject fragments that leave the database without models. Called by
+/// the mutator, and `pub(crate)` because WAL replay routes through it
+/// too (recovery is the live path, re-run).
 pub(crate) fn apply_fragment_atomic(
     voc: &mut Vocabulary,
     session: &mut Session,
@@ -1577,7 +1391,6 @@ pub(crate) fn apply_fragment_atomic(
 #[derive(Debug)]
 pub struct Registry {
     dbs: RwLock<HashMap<String, Arc<Db>>>,
-    mode: ConcurrencyMode,
     storage: Option<StorageConfig>,
     /// Commit-queue bound handed to every database this registry
     /// creates (see [`Registry::with_max_queue`]).
@@ -1591,7 +1404,6 @@ impl Default for Registry {
     fn default() -> Self {
         Registry {
             dbs: RwLock::new(HashMap::new()),
-            mode: ConcurrencyMode::default(),
             storage: None,
             max_queue: DEFAULT_MAX_QUEUE,
             conns_rejected: AtomicU64::new(0),
@@ -1600,17 +1412,9 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An empty registry in the default (MVCC) mode.
+    /// An empty in-memory registry.
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// An empty registry in an explicit concurrency mode (the RwLock
-    /// ablation exists for benches and differential tests).
-    pub fn with_mode(mode: ConcurrencyMode) -> Self {
-        let mut r = Registry::default();
-        r.mode = mode;
-        r
     }
 
     /// Sets the commit-queue bound for every database created after
@@ -1643,8 +1447,7 @@ impl Registry {
     /// already present is recovered *now* — snapshot load, WAL replay,
     /// torn-tail truncation, scaffold + prepared warmup — so the first
     /// request after this returns serves warm. Databases opened later
-    /// get their own directory under the root. Durability implies the
-    /// MVCC mode (the WAL is owned by the mutator thread).
+    /// get their own directory under the root.
     pub fn with_storage(cfg: StorageConfig) -> std::io::Result<Self> {
         Registry::with_storage_and_queue(cfg, DEFAULT_MAX_QUEUE)
     }
@@ -1675,16 +1478,10 @@ impl Registry {
         }
         Ok(Registry {
             dbs: RwLock::new(dbs),
-            mode: ConcurrencyMode::Mvcc,
             storage: Some(cfg),
             max_queue,
             conns_rejected: AtomicU64::new(0),
         })
-    }
-
-    /// The concurrency mode databases are created with.
-    pub fn mode(&self) -> ConcurrencyMode {
-        self.mode
     }
 
     /// The storage configuration, when this registry is durable.
@@ -1717,12 +1514,7 @@ impl Registry {
                         ),
                     }
                 }
-                Arc::new(Db::new(
-                    Vocabulary::new(),
-                    Database::new(),
-                    self.mode,
-                    self.max_queue,
-                ))
+                Arc::new(Db::new(Vocabulary::new(), Database::new(), self.max_queue))
             })
             .clone()
     }
@@ -1742,20 +1534,19 @@ impl Registry {
     /// database's initial snapshot (replacing whatever its directory
     /// held), so it survives restarts like any other state.
     pub fn install(&self, name: &str, voc: Vocabulary, db: Database) -> Arc<Db> {
-        let holder = if let Some(cfg) = &self.storage {
-            match self.install_durable(cfg, name, &voc, &db) {
-                Ok(d) => Arc::new(d),
+        let holder = Arc::new(match &self.storage {
+            Some(cfg) => match self.install_durable(cfg, name, &voc, &db) {
+                Ok(d) => d,
                 Err(e) => {
                     eprintln!(
                         "indord-storage: cannot persist installed database `{name}` ({e}); \
                          this database is IN-MEMORY ONLY"
                     );
-                    Arc::new(Db::new(voc, db, ConcurrencyMode::Mvcc, self.max_queue))
+                    Db::new(voc, db, self.max_queue)
                 }
-            }
-        } else {
-            Arc::new(Db::new(voc, db, self.mode, self.max_queue))
-        };
+            },
+            None => Db::new(voc, db, self.max_queue),
+        });
         self.dbs
             .write()
             .unwrap_or_else(|p| p.into_inner())
@@ -1814,7 +1605,6 @@ impl Registry {
             voc,
             Session::new(db),
             HashMap::new(),
-            ConcurrencyMode::Mvcc,
             Some(durable),
             self.max_queue,
         ));
@@ -1984,11 +1774,7 @@ impl Conn {
         // threshold — the fast path records phases and nothing else.
         if let (Some(ms), Some(report)) = (slow, report) {
             let db = self.current_name.as_deref().unwrap_or("-");
-            let seq = self
-                .current
-                .as_ref()
-                .and_then(|d| d.read_snapshot())
-                .map_or(0, |s| s.seq());
+            let seq = self.current.as_ref().map_or(0, |d| d.snapshot().seq());
             eprintln!("{}", report.render_slow_line(db, seq, ms));
         }
         resp
@@ -2013,7 +1799,11 @@ impl Conn {
         // (the slow-log line doesn't carry it), so only `Always` mode
         // pays the before-capture — slow-mode requests skip it.
         let session_before = matches!(mode, ReportMode::Always(_))
-            .then(|| self.current.as_ref().map(|db| db.view().session().stats()))
+            .then(|| {
+                self.current
+                    .as_ref()
+                    .map(|db| db.snapshot().session().stats())
+            })
             .flatten();
         let start = Instant::now();
         let result = self.dispatch(req, deadline, rec);
@@ -2052,7 +1842,11 @@ impl Conn {
         let report = request.map(|request| {
             let session_after = session_before
                 .is_some()
-                .then(|| self.current.as_ref().map(|db| db.view().session().stats()))
+                .then(|| {
+                    self.current
+                        .as_ref()
+                        .map(|db| db.snapshot().session().stats())
+                })
                 .flatten();
             let (builds, patches, evictions) = match (session_before, session_after) {
                 (Some(b), Some(a)) => (
@@ -2112,7 +1906,7 @@ impl Conn {
         match req {
             Request::Open(name) => {
                 let db = self.registry.open(&name);
-                let atoms = db.view().session().len();
+                let atoms = db.snapshot().session().len();
                 self.current = Some(db);
                 self.current_name = Some(name.clone());
                 Ok(Response::Ok(format!("using {name} ({atoms} atoms)")))
@@ -2122,7 +1916,7 @@ impl Conn {
                     .registry
                     .get(&name)
                     .ok_or_else(|| WireError::registry(format!("unknown database `{name}`")))?;
-                let atoms = db.view().session().len();
+                let atoms = db.snapshot().session().len();
                 self.current = Some(db);
                 self.current_name = Some(name.clone());
                 Ok(Response::Ok(format!("using {name} ({atoms} atoms)")))
@@ -2144,22 +1938,22 @@ impl Conn {
                 self.evaluate(&db, &target, true, deadline, rec)
             }
             Request::Batch(names) => {
-                // One view for the whole batch: every verdict in the
+                // One snapshot for the whole batch: every verdict in the
                 // reply is computed against the same snapshot (see the
                 // protocol docs' consistency contract).
                 let db = self.current()?.clone();
-                let view = db.view();
+                let snap = db.snapshot();
                 let pqs = rec.time(Phase::Plan, || -> Result<Vec<_>, WireError> {
                     names
                         .iter()
                         .map(|name| {
-                            view.prepared(name).ok_or_else(|| {
+                            snap.prepared(name).ok_or_else(|| {
                                 WireError::registry(format!("unknown prepared query `{name}`"))
                             })
                         })
                         .collect()
                 })?;
-                let mut eng = Engine::new(view.vocabulary());
+                let mut eng = Engine::new(snap.vocabulary());
                 if let Some(d) = deadline {
                     eng = eng.with_deadline(d);
                 }
@@ -2169,7 +1963,7 @@ impl Conn {
                         .zip(&pqs)
                         .map(|(name, pq)| {
                             let v = eng
-                                .entails_prepared(view.session(), pq)
+                                .entails_prepared(snap.session(), pq)
                                 .map_err(|e| WireError::from(&e))?;
                             Ok((name.clone(), v.holds()))
                         })
@@ -2182,10 +1976,10 @@ impl Conn {
             }
             Request::Explain(target) => {
                 let db = self.current()?.clone();
-                let view = db.view();
+                let snap = db.snapshot();
                 match &target {
                     Target::Prepared(name) => {
-                        let pq = view.prepared(name).ok_or_else(|| {
+                        let pq = snap.prepared(name).ok_or_else(|| {
                             WireError::registry(format!("unknown prepared query `{name}`"))
                         })?;
                         Ok(Response::Explain(render_explain(name, pq)))
@@ -2195,7 +1989,7 @@ impl Conn {
                         // plan is compiled here exactly as PREPARE would,
                         // and constants would pin guard facts that only
                         // exist per evaluation.
-                        let pq = compile_prepared(view.vocabulary(), text).map_err(|e| {
+                        let pq = compile_prepared(snap.vocabulary(), text).map_err(|e| {
                             if e.message.contains("constant-free") {
                                 WireError::proto(
                                     "EXPLAIN of an inline query requires it constant-free \
@@ -2222,14 +2016,14 @@ impl Conn {
             }
             Request::Stats => {
                 let db = self.current()?.clone();
-                let view = db.view();
-                let session_stats = view.session().stats();
+                let snap = db.snapshot();
+                let session_stats = snap.session().stats();
                 let (p50_ns, p99_ns) = db.stats.metrics.p50_p99();
                 let queue_depth_p99 = db.stats.metrics.queue_depth_histogram().quantile(0.99);
                 Ok(Response::Stats(Box::new(StatsReply {
-                    atoms: view.session().len() as u64,
+                    atoms: snap.session().len() as u64,
                     epoch: session_stats.epoch,
-                    prepared: view.prepared_len() as u64,
+                    prepared: snap.prepared_len() as u64,
                     queries: db.stats.queries.load(Ordering::Relaxed),
                     prepared_hits: db.stats.prepared_hits.load(Ordering::Relaxed),
                     writes: db.stats.writes.load(Ordering::Relaxed),
@@ -2249,7 +2043,7 @@ impl Conn {
                     snapshots_published: db.stats.snapshots_published.load(Ordering::Relaxed),
                     patchable_writes: db.stats.patchable_writes.load(Ordering::Relaxed),
                     structural_writes: db.stats.structural_writes.load(Ordering::Relaxed),
-                    snapshot_age_ns: view.snapshot_age_ns(),
+                    snapshot_age_ns: snap.age_ns(),
                     wal_appends: db.stats.wal_appends.load(Ordering::Relaxed),
                     wal_bytes: db.stats.wal_bytes.load(Ordering::Relaxed),
                     fsyncs: db.stats.fsyncs.load(Ordering::Relaxed),
@@ -2278,7 +2072,7 @@ impl Conn {
                 // published snapshot is and how deep the commit queue
                 // stands, so a probe can alert on a wedged mutator before
                 // it trips the supervisor.
-                let age_ms = db.view().snapshot_age_ns() / 1_000_000;
+                let age_ms = db.snapshot().age_ns() / 1_000_000;
                 let depth = db.stats.pending.load(Ordering::Relaxed);
                 let extra = format!("snapshot_age_ms={age_ms} commit_queue_depth={depth}");
                 let detail = if detail.is_empty() {
@@ -2297,7 +2091,7 @@ impl Conn {
     }
 
     /// Evaluates an `ENTAIL`/`COUNTERMODEL` target against a pinned
-    /// read view and renders the reply — verdict only, or with the
+    /// snapshot and renders the reply — verdict only, or with the
     /// countermodel witness when `witness` is set. Prepared names hit
     /// the registry and the warm session; inline text is parsed per
     /// request (constants supported — the guard facts of §2 constant
@@ -2314,7 +2108,7 @@ impl Conn {
         deadline: Option<Instant>,
         rec: &mut TraceRecorder,
     ) -> Result<Response, WireError> {
-        let view = db.view();
+        let snap = db.snapshot();
         // The deadline rides into the Theorem 5.3 search loop, which
         // polls it cooperatively and abandons the search with a typed
         // `ERR deadline` — the worker returns to the pool immediately.
@@ -2333,7 +2127,7 @@ impl Conn {
                 // *before* each `?` so an erroring phase still shows up
                 // in its trace (deadline aborts attribute their
                 // elapsed-at-abort to the search phase).
-                let pq = view
+                let pq = snap
                     .prepared(name)
                     .ok_or_else(|| WireError::registry(format!("unknown prepared query `{name}`")));
                 rec.lap(Phase::Plan);
@@ -2343,39 +2137,39 @@ impl Conn {
                 // disjunctive scaffold rebuilds here rather than inside
                 // the search, so TRACE separates "paid to warm" from
                 // "paid to search".
-                let _ = view.session().disjunctive_scaffold(view.vocabulary());
+                let _ = snap.session().disjunctive_scaffold(snap.vocabulary());
                 rec.lap(Phase::Scaffold);
-                let v = engine_for(view.vocabulary(), deadline)
-                    .entails_prepared(view.session(), pq)
+                let v = engine_for(snap.vocabulary(), deadline)
+                    .entails_prepared(snap.session(), pq)
                     .map_err(|e| WireError::from(&e));
                 rec.lap(Phase::Search);
-                let out = render_verdict(v?, view.vocabulary(), witness);
+                let out = render_verdict(v?, snap.vocabulary(), witness);
                 rec.lap(Phase::Render);
                 out
             }
             Target::Inline(text) => {
                 let expr =
-                    parse_query_expr_in(view.vocabulary(), text).map_err(|e| WireError::from(&e));
+                    parse_query_expr_in(snap.vocabulary(), text).map_err(|e| WireError::from(&e));
                 rec.lap(Phase::Parse);
                 let expr = expr?;
                 if !mentions_constants(&expr) {
                     // Constant-free (the common fast path): straight to
                     // DNF — no database or vocabulary clone — and
                     // evaluate against the pinned warm session.
-                    let eng = engine_for(view.vocabulary(), deadline);
+                    let eng = engine_for(snap.vocabulary(), deadline);
                     let pq = expr
-                        .to_dnf(view.vocabulary())
+                        .to_dnf(snap.vocabulary())
                         .map_err(|e| WireError::from(&e))
                         .and_then(|q| eng.prepare(&q).map_err(|e| WireError::from(&e)));
                     rec.lap(Phase::Plan);
                     let pq = pq?;
-                    let _ = view.session().disjunctive_scaffold(view.vocabulary());
+                    let _ = snap.session().disjunctive_scaffold(snap.vocabulary());
                     rec.lap(Phase::Scaffold);
                     let v = eng
-                        .entails_prepared(view.session(), &pq)
+                        .entails_prepared(snap.session(), &pq)
                         .map_err(|e| WireError::from(&e));
                     rec.lap(Phase::Search);
-                    let out = render_verdict(v?, view.vocabulary(), witness);
+                    let out = render_verdict(v?, snap.vocabulary(), witness);
                     rec.lap(Phase::Render);
                     out
                 } else {
@@ -2384,9 +2178,9 @@ impl Conn {
                     // (§2) — one-shot evaluation under the
                     // request-local vocabulary.
                     let planned = (|| {
-                        let mut voc2 = view.vocabulary().clone();
+                        let mut voc2 = snap.vocabulary().clone();
                         let (aug_db, q) =
-                            eliminate_constants(&mut voc2, view.session().database(), &expr)
+                            eliminate_constants(&mut voc2, snap.session().database(), &expr)
                                 .map_err(|e| WireError::from(&e))?;
                         Ok::<_, WireError>((voc2, aug_db, q))
                     })();
@@ -2515,7 +2309,7 @@ fn parse_constant_free(voc: &Vocabulary, text: &str) -> Result<DnfQuery, WireErr
     expr.to_dnf(voc).map_err(|e| WireError::from(&e))
 }
 
-///// A running server: bound address plus shutdown plumbing. Dropping the
+/// A running server: bound address plus shutdown plumbing. Dropping the
 /// handle shuts the accept loop down (worker threads serving still-open
 /// connections finish with their clients) and then gracefully drains
 /// every database — commit queues emptied, WAL tails fsynced, mutator
@@ -2824,10 +2618,6 @@ mod tests {
         Conn::new(Arc::new(Registry::new()))
     }
 
-    fn conn_with(mode: ConcurrencyMode) -> Conn {
-        Conn::new(Arc::new(Registry::with_mode(mode)))
-    }
-
     #[test]
     fn open_write_prepare_entail_round() {
         let mut c = conn();
@@ -3082,33 +2872,75 @@ mod tests {
     }
 
     #[test]
-    fn rwlock_ablation_mode_serves_the_same_protocol() {
-        let mut c = conn_with(ConcurrencyMode::RwLock);
-        c.handle_line("OPEN lab");
-        assert!(matches!(
-            c.handle_line("FACT pred P(ord); P(u); P(v); u < v;"),
-            Response::Ok(_)
-        ));
-        assert!(matches!(
-            c.handle_line("PREPARE any: exists s. P(s)"),
-            Response::Ok(_)
-        ));
-        assert_eq!(c.handle_line("ENTAIL any"), Response::Verdict(true));
-        assert_eq!(
-            c.handle_line("BATCH any"),
-            Response::Verdicts(vec![("any".into(), true)])
-        );
-        let Response::Stats(s) = c.handle_line("STATS") else {
-            panic!("expected stats");
-        };
-        assert_eq!(s.atoms, 3);
-        // The MVCC counters are all idle under the lock.
-        assert_eq!(s.group_commits, 0, "{s:?}");
-        assert_eq!(s.snapshots_published, 0, "{s:?}");
-        assert_eq!(s.commit_queue_depth, 0, "{s:?}");
-        assert_eq!(s.snapshot_age_ns, 0, "{s:?}");
-        let db = c.registry.get("lab").unwrap();
-        assert!(db.read_snapshot().is_none(), "no snapshots under the lock");
+    fn deep_nesting_and_dnf_blowup_get_typed_errors_and_the_conn_keeps_serving() {
+        use indord_core::parse::MAX_QUERY_DEPTH;
+        use indord_core::query::MAX_DNF_DISJUNCTS;
+        // Run on a thread with a worker's default 2 MiB stack, which
+        // 10,000 nested parentheses would overflow without the parser's
+        // depth cap (a stack overflow aborts the whole process).
+        thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| {
+                let mut c = conn();
+                c.handle_line("OPEN lab");
+                c.handle_line("FACT pred P(ord); pred Q(ord); P(u); Q(v);");
+                let still_serving = |c: &mut Conn| {
+                    assert_eq!(
+                        c.handle_line("ENTAIL exists t. P(t)"),
+                        Response::Verdict(true)
+                    );
+                };
+                // Each deep line with the line offset of the first token
+                // past the cap, where the spanned error must point.
+                let parens = "(".repeat(10_000);
+                let binders = "exists t. ".repeat(10_000);
+                let deep = [
+                    (format!("ENTAIL {parens}P(t)"), 7 + MAX_QUERY_DEPTH),
+                    (format!("EXPLAIN {parens}P(t)"), 8 + MAX_QUERY_DEPTH),
+                    (format!("PREPARE deep: {parens}P(t)"), 14 + MAX_QUERY_DEPTH),
+                    (format!("ENTAIL {binders}P(t)"), 7 + 10 * MAX_QUERY_DEPTH),
+                ];
+                for (line, at) in deep {
+                    let Response::Error(e) = c.handle_line(&line) else {
+                        panic!("deep nesting must be refused");
+                    };
+                    assert_eq!(e.kind, ErrorKind::Parse, "{e:?}");
+                    assert_eq!(e.span.map(|s| s.start), Some(at), "{e:?}");
+                    still_serving(&mut c);
+                }
+                // Twenty conjoined two-way disjunctions: 2^20 DNF
+                // disjuncts, about a minute of work to build.
+                let names: Vec<String> = (0..20).map(|i| format!("t{i}")).collect();
+                let factors: Vec<String> =
+                    names.iter().map(|t| format!("(P({t}) | Q({t}))")).collect();
+                let blowup = format!("exists {}. {}", names.join(" "), factors.join(" & "));
+                for line in [
+                    format!("ENTAIL {blowup}"),
+                    format!("COUNTERMODEL {blowup}"),
+                    format!("EXPLAIN {blowup}"),
+                    format!("PREPARE big: {blowup}"),
+                ] {
+                    let start = Instant::now();
+                    let Response::Error(e) = c.handle_line(&line) else {
+                        panic!("the DNF blowup must be refused");
+                    };
+                    assert!(
+                        start.elapsed() < Duration::from_secs(1),
+                        "{:?}",
+                        start.elapsed()
+                    );
+                    assert_eq!(e.kind, ErrorKind::Cap, "{e:?}");
+                    assert!(e.message.contains(&MAX_DNF_DISJUNCTS.to_string()), "{e:?}");
+                    still_serving(&mut c);
+                }
+                let Response::Stats(s) = c.handle_line("STATS") else {
+                    panic!("expected stats");
+                };
+                assert_eq!(s.prepared, 0, "refused PREPAREs register nothing");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]
@@ -3119,7 +2951,7 @@ mod tests {
         let db = c.registry.get("lab").unwrap();
         // Pin the current snapshot — the deterministic stand-in for a
         // long COUNTERMODEL enumeration holding its read state.
-        let pinned = db.read_snapshot().expect("mvcc mode");
+        let pinned = db.snapshot();
         let atoms_before = pinned.session().len();
         let seq_before = pinned.seq();
         // Writes land while the snapshot is held: there is no reader
@@ -3129,7 +2961,7 @@ mod tests {
             c.handle_line("FACT P(w); w < u;"),
             Response::Ok(_)
         ));
-        let fresh = db.read_snapshot().unwrap();
+        let fresh = db.snapshot();
         assert!(fresh.seq() > seq_before, "commits advanced the sequence");
         assert_eq!(
             pinned.session().len(),

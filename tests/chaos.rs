@@ -759,8 +759,8 @@ fn wal_death_mid_storm_degrades_to_read_only_and_restart_recovers_acked() {
             Response::Ok(_)
         ));
     }
-    let rsnap = recovered.get("lab").unwrap().read_snapshot().unwrap();
-    let osnap = oreg.get("lab").unwrap().read_snapshot().unwrap();
+    let rsnap = recovered.get("lab").unwrap().snapshot();
+    let osnap = oreg.get("lab").unwrap().snapshot();
     assert_eq!(
         rsnap.session().len(),
         osnap.session().len(),
@@ -950,7 +950,7 @@ fn shutdown_mid_storm_rejects_unlogged_writes_and_preserves_acked() {
         rc.handle_line("ENTAIL P0(base)"),
         Response::Verdict(true)
     ));
-    let snap = recovered.get("lab").unwrap().read_snapshot().unwrap();
+    let snap = recovered.get("lab").unwrap().snapshot();
     assert_eq!(
         snap.session().len(),
         1,

@@ -5,7 +5,7 @@
 //!
 //! 1. **No torn states.** While a writer commits a known fragment
 //!    sequence one commit at a time, reader threads continuously pin
-//!    `Db::read_snapshot()` and check that every snapshot they observe
+//!    `Db::snapshot()` and check that every snapshot they observe
 //!    is *exactly* some prefix of the committed sequence: its atom
 //!    count is a prefix count (multi-atom fragments make intermediate
 //!    counts detectable), its panel verdicts equal the oracle's
@@ -154,7 +154,7 @@ fn snapshots_are_prefixes_of_the_committed_write_sequence() {
                     let mut seen = 0u64;
                     let mut last_seq = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        let snap = db.read_snapshot().expect("MVCC mode has snapshots");
+                        let snap = db.snapshot();
                         assert!(
                             snap.seq() >= last_seq,
                             "snapshot sequence regressed: {} after {last_seq}",
@@ -193,7 +193,7 @@ fn snapshots_are_prefixes_of_the_committed_write_sequence() {
     assert!(observed > 0, "readers must observe at least one snapshot");
 
     // The final snapshot is the full sequence.
-    let snap = db.read_snapshot().unwrap();
+    let snap = db.snapshot();
     assert_eq!(snap.session().len(), *counts.last().unwrap());
     assert_eq!(
         eval_panel(snap.vocabulary(), snap.session()),
@@ -363,8 +363,8 @@ proptest! {
 
         // Countermodel sets agree (deeper than verdicts: the full
         // minimal-model frontier of each panel query must match).
-        let snap_a = reg_a.get("lab").unwrap().read_snapshot().unwrap();
-        let snap_b = reg_b.get("lab").unwrap().read_snapshot().unwrap();
+        let snap_a = reg_a.get("lab").unwrap().snapshot();
+        let snap_b = reg_b.get("lab").unwrap().snapshot();
         let mdb_a = snap_a.session().monadic(snap_a.vocabulary()).expect("monadic view");
         let mdb_b = snap_b.session().monadic(snap_b.vocabulary()).expect("monadic view");
         prop_assert_eq!(
@@ -463,8 +463,8 @@ fn contained_apply_panic_spares_groupmates() {
             Response::Ok(_)
         ));
     }
-    let snap = db.read_snapshot().unwrap();
-    let osnap = oreg.get("lab").unwrap().read_snapshot().unwrap();
+    let snap = db.snapshot();
+    let osnap = oreg.get("lab").unwrap().snapshot();
     assert_eq!(snap.session().len(), osnap.session().len());
     assert_eq!(
         snap.session()

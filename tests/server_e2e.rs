@@ -287,9 +287,7 @@ fn tcp_served_session_agrees_with_engine_oracle_across_writes() {
 /// deterministic stand-in for an enumeration of *arbitrary* duration —
 /// an in-process handle pins a `DbSnapshot` for the entire burst (a
 /// pinned snapshot is exactly what a countermodel enumeration holds
-/// while it walks the state graph). Under the old per-db `RwLock` the
-/// equivalent long read would hold the read guard and every write
-/// would queue behind it; under MVCC the burst lands, publishes fresh
+/// while it walks the state graph). The burst lands, publishes fresh
 /// snapshots, and the pinned one stays immutable. The burst completing
 /// *inside* the scope, while `pinned` is still alive, is the claim.
 #[test]
@@ -313,10 +311,8 @@ fn slow_countermodel_reader_never_blocks_the_write_burst() {
     };
 
     let db = registry.get("lab").expect("lab registered");
-    // Pin the read view for the whole burst. Under the RwLock ablation
-    // there is no snapshot to pin (`read_snapshot` is `None`) — this
-    // line is what makes the test MVCC-specific.
-    let pinned = db.read_snapshot().expect("MVCC mode serves snapshots");
+    // Pin the snapshot for the whole burst.
+    let pinned = db.snapshot();
     let pinned_seq = pinned.seq();
     let pinned_atoms = pinned.session().len();
 
@@ -361,7 +357,7 @@ fn slow_countermodel_reader_never_blocks_the_write_burst() {
     // The pinned snapshot never moved while the burst landed past it.
     assert_eq!(pinned.seq(), pinned_seq);
     assert_eq!(pinned.session().len(), pinned_atoms);
-    let fresh = db.read_snapshot().expect("snapshot after burst");
+    let fresh = db.snapshot();
     assert!(
         fresh.seq() > pinned_seq,
         "the burst must publish new snapshots behind the pinned one"

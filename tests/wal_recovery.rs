@@ -173,8 +173,8 @@ fn restart_from(bytes: &[u8], tag: &str) -> (PathBuf, Arc<Registry>, Conn) {
 fn assert_matches_oracle(recovered: &Arc<Db>, rc: &mut Conn, k: usize, replayed: u64) {
     let (oreg, mut oc) = oracle(k);
     let odb = oreg.get("lab").unwrap();
-    let rsnap = recovered.read_snapshot().unwrap();
-    let osnap = odb.read_snapshot().unwrap();
+    let rsnap = recovered.snapshot();
+    let osnap = odb.snapshot();
 
     // State: identical apply order from identical empty states makes
     // the database display text byte-identical, not just equivalent.
@@ -445,8 +445,8 @@ fn wal_append_fault_mid_group_rejects_the_tail_of_the_group() {
         }
         (oreg, oc)
     };
-    let osnap = oreg.get("lab").unwrap().read_snapshot().unwrap();
-    let rsnap = db.read_snapshot().unwrap();
+    let osnap = oreg.get("lab").unwrap().snapshot();
+    let rsnap = db.snapshot();
     assert_eq!(
         rsnap
             .session()
@@ -490,7 +490,7 @@ fn wal_append_fault_mid_group_rejects_the_tail_of_the_group() {
     let reg2 = Arc::new(Registry::with_storage(cfg).unwrap());
     let db2 = reg2.get("lab").unwrap();
     assert_eq!(db2.stats().recovery_replayed_fragments(), 1);
-    let snap2 = db2.read_snapshot().unwrap();
+    let snap2 = db2.snapshot();
     assert_eq!(
         snap2
             .session()
